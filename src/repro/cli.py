@@ -204,8 +204,11 @@ def _print_job_result(result_dict: dict) -> None:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError, NodeOverloadedError
-    from repro.errors import NodeUnavailableError
+    from repro.errors import (
+        NodeHTTPError,
+        NodeOverloadedError,
+        NodeUnavailableError,
+    )
 
     if args.points.startswith("dataset:"):
         body: dict = {"dataset": args.points}
@@ -543,8 +546,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     import time
 
     from repro.client import Client
-    from repro.cluster import NodeHTTPError
-    from repro.errors import NodeUnavailableError
+    from repro.errors import NodeHTTPError, NodeUnavailableError
 
     client = Client(args.url)
     base = client.url
@@ -600,8 +602,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_slo(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError
-    from repro.errors import NodeUnavailableError
+    from repro.errors import NodeHTTPError, NodeUnavailableError
 
     client = Client(args.url)
     base = client.url
@@ -660,8 +661,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError
-    from repro.errors import NodeUnavailableError
+    from repro.errors import NodeHTTPError, NodeUnavailableError
     from repro.obs import format_trace
 
     client = Client(args.url)
@@ -687,8 +687,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError, NodeOverloadedError
-    from repro.errors import NodeUnavailableError
+    from repro.errors import (
+        NodeHTTPError,
+        NodeOverloadedError,
+        NodeUnavailableError,
+    )
     from repro.obs import render_collapsed
 
     if args.seconds < 0:

@@ -1,21 +1,33 @@
-"""Public Python SDK for the ``/v1`` wire API.
+"""Blocking stdlib HTTP client for the ``/v1`` wire API.
 
 One :class:`Client` speaks to a single base URL — a ``repro serve`` node
 or a ``repro route`` router; the contract is identical by design, so the
-caller never needs to know which is answering (the ``X-Repro-Node``
-header and fleet-shaped stats documents are the only tells).
+caller never needs to know which is answering.  The SDK, the CLI, the
+router's node fan-out, ``repro rebalance`` and the engine's peer fetch
+all use it.
 
-Wraps the cluster tier's :class:`~repro.cluster.client.NodeClient`
-transport, so error handling is the typed taxonomy rather than raw
-``urllib`` exceptions:
+Errors are a typed taxonomy keyed on the server's error envelope
+(``{"error": {"code", "message", "retryable"}}``, see
+:mod:`repro.api.contract`) rather than raw ``urllib`` exceptions:
 
-* :class:`~repro.cluster.client.NodeHTTPError` — the request is at
-  fault (bad spec → 400, unknown job → 404), with the envelope's
-  machine-readable ``error_code``;
+* :class:`~repro.errors.NodeHTTPError` — a non-retryable error (4xx:
+  unknown job id, bad spec).  The *request* is at fault; it carries the
+  upstream status ``code`` and the envelope's ``error_code``.
 * :class:`~repro.errors.NodeOverloadedError` — admission control shed
-  the request (429); honor ``retry_after`` and retry;
+  the request (429).  The server is alive; honor ``retry_after``.
 * :class:`~repro.errors.NodeUnavailableError` — the server is
-  unreachable or failing (connection error, 5xx).
+  unreachable or failing: connection error, timeout, a retryable (5xx)
+  response, or a truncated or undecodable body.
+
+Responses without an envelope (legacy ``{"error": str}`` or non-JSON)
+fall back to the status class: 5xx retryable, 4xx not.
+
+Retries apply only to idempotent GETs (a lookup repeated is harmless); a
+``POST`` is never retried against the *same* server — re-dispatch on a
+different node is the router's at-most-one failover.  Retry pacing is
+:func:`backoff_delay`: capped exponential backoff with *deterministic*
+jitter, except that a 429 shed's ``Retry-After`` hint overrides the
+curve — the server knows its own drain rate better than any guess.
 
 Example
 -------
@@ -29,12 +41,35 @@ Example
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
-from typing import Any, Dict, Optional, Union
+import urllib.error
+import urllib.request
+from typing import Any, Callable, Dict, Optional
+from urllib.parse import quote, urlencode
 
-from repro.cluster.client import DEFAULT_RETRIES, DEFAULT_TIMEOUT, NodeClient
-from repro.cluster.topology import Node
-from repro.service.jobs import JobSpec
+from repro.api.contract import parse_error_envelope
+from repro.errors import (
+    ClusterError,
+    NodeHTTPError,
+    NodeOverloadedError,
+    NodeUnavailableError,
+)
+from repro.obs import TRACE_HEADER, to_header
+
+#: Seconds a single HTTP request may take before the server counts as down.
+DEFAULT_TIMEOUT = 30.0
+#: Extra attempts for idempotent GETs (total attempts = retries + 1).
+DEFAULT_RETRIES = 1
+#: First-retry delay of the exponential backoff curve (seconds).
+BACKOFF_BASE = 0.05
+#: Ceiling of the exponential curve — a client-side guess never waits
+#: longer than this between attempts.
+BACKOFF_CAP = 2.0
+#: Ceiling on an honored ``Retry-After`` hint: a server asking for more
+#: than this is trusted about *direction* but not magnitude.
+RETRY_AFTER_CAP = 30.0
 
 #: Job statuses after which the body carries the (possibly failed) result.
 TERMINAL_STATUSES = ("done", "failed")
@@ -43,26 +78,166 @@ TERMINAL_STATUSES = ("done", "failed")
 _WAIT_CHUNK = 30.0
 
 
+def backoff_delay(attempt: int,
+                  retry_after: Optional[float] = None) -> float:
+    """Seconds to sleep before retry number ``attempt`` (1-based).
+
+    With a positive ``retry_after`` (the server's own 429 hint) that
+    value wins, capped at :data:`RETRY_AFTER_CAP`.  Otherwise the delay
+    is capped exponential — ``BACKOFF_BASE * 2**(attempt-1)`` up to
+    :data:`BACKOFF_CAP` — scaled into ``[50%, 100%]`` by deterministic
+    jitter: Knuth's multiplicative hash of the attempt counter, so two
+    clients that failed together still decorrelate their retries without
+    any RNG (replays and tests see the exact same schedule).
+    """
+    if attempt < 1:
+        raise ClusterError(f"attempt must be >= 1, got {attempt}")
+    if retry_after is not None and retry_after > 0:
+        return min(float(retry_after), RETRY_AFTER_CAP)
+    delay = min(BACKOFF_BASE * 2.0 ** (attempt - 1), BACKOFF_CAP)
+    fraction = ((attempt * 2654435761) & 0xFFFFFFFF) / 2.0 ** 32
+    return delay * (0.5 + 0.5 * fraction)
+
+
+def _seg(value: str) -> str:
+    """One URL path segment, escaped so ``/``, ``?`` and spaces in an id
+    can neither reshape the request nor break the request line."""
+    return quote(str(value), safe="")
+
+
+def _with_query(path: str, params: Dict[str, Any]) -> str:
+    return f"{path}?{urlencode(params)}" if params else path
+
+
 class Client:
-    """Blocking client for one ``/v1`` endpoint (node or router)."""
+    """Blocking client for one ``/v1`` endpoint (stdlib only, thread-safe)."""
 
     def __init__(self, url: str, *, timeout: float = DEFAULT_TIMEOUT,
                  retries: int = DEFAULT_RETRIES) -> None:
+        if timeout <= 0:
+            raise ClusterError(f"timeout must be positive, got {timeout}")
+        if retries < 0:
+            raise ClusterError(f"retries must be >= 0, got {retries}")
         self.url = url.rstrip("/")
-        self._node = NodeClient(Node(self.url),
-                                timeout=timeout, retries=retries)
+        self.timeout = timeout
+        self.retries = retries
+
+    # ------------------------------------------------------------- transport
+
+    def _request(self, path: str, body: Any = None, *,
+                 timeout: Optional[float] = None,
+                 idempotent: bool = True,
+                 extra_headers: Optional[Dict[str, str]] = None,
+                 raw_body: Optional[bytes] = None,
+                 parse: Callable[[bytes], Any] = json.loads) -> Any:
+        """One round trip; returns ``parse(response bytes)``.
+
+        ``body`` switches the request to a JSON POST; ``raw_body`` does
+        too but ships opaque bytes (artifact pushes).  ``parse`` is
+        ``json.loads`` by default, ``bytes.decode`` for text and
+        ``bytes`` for blobs.  Transport failures and retryable error
+        responses raise :class:`NodeUnavailableError` (a 429 shed the
+        :class:`NodeOverloadedError` refinement), after ``retries``
+        extra attempts when ``idempotent``, paced by
+        :func:`backoff_delay`; non-retryable errors raise
+        :class:`NodeHTTPError`.
+        """
+        url = f"{self.url}{path}"
+        if raw_body is not None:
+            data: Optional[bytes] = raw_body
+            headers = {"Content-Type": "application/octet-stream"}
+        else:
+            data = json.dumps(body).encode() if body is not None else None
+            headers = {"Content-Type": "application/json"} \
+                if body is not None else {}
+        if extra_headers:
+            headers.update(extra_headers)
+        attempts = (self.retries + 1) if idempotent else 1
+        last_error: Optional[Exception] = None
+        for attempt in range(attempts):
+            if attempt:
+                time.sleep(backoff_delay(
+                    attempt, getattr(last_error, "retry_after", None)))
+            request = urllib.request.Request(url, data=data, headers=headers)
+            try:
+                with urllib.request.urlopen(
+                        request,
+                        timeout=timeout if timeout is not None
+                        else self.timeout) as response:
+                    return parse(response.read())
+            except urllib.error.HTTPError as exc:
+                error = self._typed_error(exc)
+                if isinstance(error, NodeUnavailableError) \
+                        and attempt + 1 < attempts:
+                    last_error = error
+                    continue
+                raise error from exc
+            except (OSError, http.client.HTTPException,
+                    json.JSONDecodeError, UnicodeDecodeError) as exc:
+                # A truncated (IncompleteRead) or garbled body means the
+                # server died mid-response — unavailability, not a bad
+                # request.
+                last_error = exc
+        raise NodeUnavailableError(
+            f"unreachable at {url}: {last_error}") from last_error
+
+    def _typed_error(self, exc: urllib.error.HTTPError) -> ClusterError:
+        """The typed exception for one HTTP error response.
+
+        Keyed on the envelope's ``retryable`` flag when present, the
+        status class (5xx retryable) otherwise.
+        """
+        try:
+            error_code, detail, retryable = parse_error_envelope(
+                json.loads(exc.read()))
+        except (json.JSONDecodeError, UnicodeDecodeError, OSError,
+                http.client.HTTPException):
+            error_code, detail, retryable = None, str(exc.reason), None
+        if retryable is None:
+            retryable = exc.code >= 500
+        if exc.code == 429:
+            return NodeOverloadedError(
+                f"{self.url} shed the request (429): {detail}",
+                retry_after=self._retry_after(exc))
+        if retryable:
+            return NodeUnavailableError(
+                f"{self.url} answered {exc.code}: {detail}")
+        return NodeHTTPError(exc.code, detail, error_code=error_code)
+
+    @staticmethod
+    def _retry_after(exc: urllib.error.HTTPError) -> Optional[float]:
+        try:
+            return float(exc.headers.get("Retry-After"))
+        except (TypeError, ValueError):
+            return None
 
     # ------------------------------------------------------------------ jobs
 
-    def submit(self, spec: Union[JobSpec, Dict[str, Any]]
-               ) -> Dict[str, Any]:
-        """POST one job; returns the 202 body (``job_id``, ``status``)."""
-        body = spec.to_dict() if isinstance(spec, JobSpec) else spec
-        return self._node.submit(body)[0]
+    def submit(self, spec: Any,
+               trace: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """POST one job; returns the 202 body (``job_id``, ``status``).
+
+        ``spec`` is a plain dict or anything with ``to_dict()`` (a
+        :class:`~repro.service.jobs.JobSpec`).  ``trace`` is a router-side
+        trace context shipped in the ``X-Repro-Trace`` header, so the
+        node appends its spans to the routing history.
+        """
+        body = spec.to_dict() if hasattr(spec, "to_dict") else spec
+        extra = {TRACE_HEADER: to_header(trace)} if trace is not None \
+            else None
+        return self._request("/v1/jobs", body, idempotent=False,
+                             extra_headers=extra)
 
     def poll(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
-        """GET one job, long-polling up to ``wait_s`` seconds server-side."""
-        return self._node.job(job_id, wait_s=wait_s)[0]
+        """GET one job, long-polling up to ``wait_s`` seconds server-side.
+
+        The HTTP timeout stretches to cover the requested wait, so a
+        legitimate long-poll is not misread as server death.
+        """
+        path = f"/v1/jobs/{_seg(job_id)}"
+        if wait_s > 0:
+            path += f"?wait_s={wait_s:.3f}"
+        return self._request(path, timeout=self.timeout + max(0.0, wait_s))
 
     def result(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The terminal job body, or ``None`` while still in flight."""
@@ -86,7 +261,7 @@ class Client:
                 raise TimeoutError(f"job {job_id} still "
                                    f"{body.get('status')} after {timeout}s")
 
-    def submit_and_wait(self, spec: Union[JobSpec, Dict[str, Any]],
+    def submit_and_wait(self, spec: Any,
                         timeout: float = 60.0) -> Dict[str, Any]:
         """Submit one job and block for its terminal body."""
         return self.wait(self.submit(spec)["job_id"], timeout=timeout)
@@ -97,6 +272,21 @@ class Client:
         return body.get("trace") if body else None
 
     # ----------------------------------------------------------- diagnostics
+
+    def healthz(self, *, timeout: Optional[float] = None) -> Dict[str, Any]:
+        return self._request("/v1/healthz", timeout=timeout)
+
+    def stats(self, *, timeout: Optional[float] = None) -> Dict[str, Any]:
+        return self._request("/v1/stats", timeout=timeout)
+
+    def metrics_json(self, *, timeout: Optional[float] = None
+                     ) -> Dict[str, Any]:
+        """The metrics registry document (``/v1/metrics?format=json``)."""
+        return self._request("/v1/metrics?format=json", timeout=timeout)
+
+    def metrics_text(self) -> str:
+        """The Prometheus text exposition (``/v1/metrics``)."""
+        return self._request("/v1/metrics", parse=bytes.decode)
 
     def traces(self, *, since: Optional[float] = None,
                min_duration_ms: Optional[float] = None,
@@ -110,28 +300,21 @@ class Client:
         ``min_duration_ms``, ``outcome`` (``done``/``failed``),
         ``algorithm``, ``limit``.
         """
-        params: Dict[str, Any] = {}
-        if since is not None:
-            params["since"] = since
-        if min_duration_ms is not None:
-            params["min_duration_ms"] = min_duration_ms
-        if outcome is not None:
-            params["outcome"] = outcome
-        if algorithm is not None:
-            params["algorithm"] = algorithm
-        if limit is not None:
-            params["limit"] = limit
-        return self._node.traces(params or None)
+        params = {name: value for name, value in (
+            ("since", since), ("min_duration_ms", min_duration_ms),
+            ("outcome", outcome), ("algorithm", algorithm),
+            ("limit", limit)) if value is not None}
+        return self._request(_with_query("/v1/traces", params))
 
     def archived_trace(self, trace_id: str) -> Dict[str, Any]:
         """``GET /v1/traces/<id>`` — one archived trace record.
 
         (Distinct from :meth:`trace`, which reads the live span tree off
         a finished job body.)  An unknown id raises
-        :class:`~repro.cluster.client.NodeHTTPError` with
+        :class:`~repro.errors.NodeHTTPError` with
         ``error_code="unknown_trace"``.
         """
-        return self._node.trace(trace_id)[0]
+        return self._request(f"/v1/traces/{_seg(trace_id)}")
 
     def profile(self, seconds: Optional[float] = None,
                 hz: Optional[float] = None) -> Dict[str, Any]:
@@ -144,69 +327,87 @@ class Client:
         returns the node-tagged fleet merge.  ``enabled: false`` marks
         a server running with observability off.
         """
-        return self._node.profile(seconds=seconds, hz=hz)
+        return self._profile(seconds, hz, "json")
 
     def profile_collapsed(self, seconds: Optional[float] = None,
                           hz: Optional[float] = None) -> str:
         """``GET /v1/profile`` as collapsed-stack text — pipe it to
         ``flamegraph.pl`` or load it in speedscope."""
-        return self._node.profile(seconds=seconds, hz=hz, fmt="collapsed")
+        return self._profile(seconds, hz, "collapsed")
+
+    def _profile(self, seconds: Optional[float], hz: Optional[float],
+                 fmt: str) -> Any:
+        # A capture blocks server-side for its whole window, so the HTTP
+        # timeout stretches to cover it (like poll does for long-polls).
+        # Not retried: a repeated capture doubles the sampling window.
+        params: Dict[str, Any] = {}
+        if seconds is not None:
+            params["seconds"] = f"{float(seconds):.3f}"
+        if hz is not None:
+            params["hz"] = f"{float(hz):g}"
+        if fmt != "collapsed":
+            params["format"] = fmt
+        return self._request(
+            _with_query("/v1/profile", params),
+            timeout=self.timeout + max(0.0, float(seconds or 0.0)),
+            idempotent=False,
+            parse=json.loads if fmt == "json" else bytes.decode)
 
     def events(self, limit: Optional[int] = None) -> Dict[str, Any]:
         """``GET /v1/admin/events`` — the server's structured-event ring."""
-        return self._node.events(limit)
+        path = "/v1/admin/events"
+        if limit is not None:
+            path += f"?limit={int(limit)}"
+        return self._request(path)
 
     def dump(self) -> Dict[str, Any]:
         """``POST /v1/admin/dump`` — the flight-recorder debug bundle."""
-        return self._node.dump()
-
-    def healthz(self) -> Dict[str, Any]:
-        return self._node.healthz()
-
-    def stats(self) -> Dict[str, Any]:
-        return self._node.stats()
-
-    def metrics_json(self) -> Dict[str, Any]:
-        """The metrics registry document (``/v1/metrics?format=json``)."""
-        return self._node.metrics_json()
-
-    def metrics_text(self) -> str:
-        """The Prometheus text exposition (``/v1/metrics``)."""
-        return self._node.metrics_text()
+        return self._request("/v1/admin/dump", {}, idempotent=False)
 
     # ------------------------------------------------------------- artifacts
 
-    def artifacts(self) -> Dict[str, Any]:
+    def artifacts(self, *, timeout: Optional[float] = None
+                  ) -> Dict[str, Any]:
         """``GET /v1/artifacts`` — the on-disk artifact inventory.
 
         A node lists its own store; a router answers per-node for the
         whole fleet.
         """
-        return self._node.artifact_list()
+        return self._request("/v1/artifacts", timeout=timeout)
 
     def artifact(self, tier: str, key: str) -> bytes:
         """``GET /v1/artifacts/<tier>/<key>`` — one raw ``.npz`` blob.
 
         The bytes are the store's own file format (the wire format *is*
-        the store format); an absent blob raises
-        :class:`~repro.cluster.client.NodeHTTPError` with code 404.
+        the store format).  An absent blob raises
+        :class:`~repro.errors.NodeHTTPError` with code 404 — the
+        expected miss during peer fetch, not a health event.
         """
-        return self._node.artifact(tier, key)
+        return self._request(f"/v1/artifacts/{_seg(tier)}/{_seg(key)}",
+                             parse=bytes)
 
     def artifact_put(self, tier: str, key: str, data: bytes, *,
                      reason: str = "replica") -> Dict[str, Any]:
         """``POST /v1/artifacts/<tier>/<key>`` — push one blob into a
-        node's store (validated, atomically renamed).  Routers refuse
-        pushes; target the holding node directly."""
-        return self._node.artifact_put(tier, key, data, reason=reason)
+        node's store (validated, atomically renamed).
+
+        Idempotent by construction (content-addressed key) but not
+        retried: the pusher owns the retry policy.  Routers refuse
+        pushes; target the holding node directly.  Returns the node's
+        ``{"stored": bool, ...}`` receipt.
+        """
+        path = _with_query(f"/v1/artifacts/{_seg(tier)}/{_seg(key)}",
+                           {"reason": reason})
+        return self._request(path, raw_body=data, idempotent=False)
 
     # ----------------------------------------------------------------- admin
 
     def flush(self, tier: Optional[str] = None) -> Dict[str, Any]:
         """``POST /v1/admin/flush`` — whole cache, or one tier
         (``bvh`` / ``result`` / ``core``)."""
-        return self._node.flush(tier)
+        body: Dict[str, Any] = {} if tier is None else {"tier": tier}
+        return self._request("/v1/admin/flush", body, idempotent=False)
 
     def compact(self) -> Dict[str, Any]:
         """``POST /v1/admin/compact`` — force a store journal compaction."""
-        return self._node.compact()
+        return self._request("/v1/admin/compact", {}, idempotent=False)

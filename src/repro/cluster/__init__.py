@@ -13,7 +13,6 @@ Layers
 ------
 ``repro.cluster.topology``  ``Node`` descriptors + the consistent-hash
                             ring with rendezvous-ordered failover
-``repro.cluster.client``    stdlib HTTP client for one node's ``/v1`` API
 ``repro.cluster.router``    ``ClusterRouter`` — validate/fingerprint
                             locally, route by ring position, fail over at
                             most once, recover lost jobs by resubmission,
@@ -31,33 +30,27 @@ Example
 
 Or from the command line: ``python -m repro route --node URL --node URL``
 fronts running nodes, and ``python -m repro cluster-demo`` boots a whole
-fleet locally to watch the routing happen.
+fleet locally to watch the routing happen.  The router talks to its
+nodes through the same :class:`repro.client.Client` the SDK uses.
 """
 
-from repro.cluster.client import (
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT,
-    NodeClient,
-    NodeHTTPError,
-    backoff_delay,
-)
 from repro.cluster.rebalance import plan_rebalance, run_rebalance
 from repro.cluster.router import ClusterRouter
 from repro.cluster.server import create_router_server, run_router_server
 from repro.cluster.topology import HashRing, Node, stable_hash
-from repro.errors import NodeOverloadedError, NodeUnavailableError
+from repro.errors import (
+    NodeHTTPError,
+    NodeOverloadedError,
+    NodeUnavailableError,
+)
 
 __all__ = [
     "ClusterRouter",
-    "DEFAULT_RETRIES",
-    "DEFAULT_TIMEOUT",
     "HashRing",
     "Node",
-    "NodeClient",
     "NodeHTTPError",
     "NodeOverloadedError",
     "NodeUnavailableError",
-    "backoff_delay",
     "create_router_server",
     "plan_rebalance",
     "run_rebalance",

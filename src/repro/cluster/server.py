@@ -38,13 +38,11 @@ from repro.api.contract import (
     WireAPI,
 )
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
-from repro.cluster.client import NodeHTTPError
 from repro.cluster.router import ClusterRouter
 from repro.errors import (
-    ClusterError,
     InvalidInputError,
+    NodeHTTPError,
     NodeOverloadedError,
-    NodeUnavailableError,
 )
 from repro.obs import EventLog
 from repro.obs.profiler import PAUSE_BUCKETS

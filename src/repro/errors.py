@@ -38,10 +38,6 @@ class ConvergenceError(ReproError, RuntimeError):
     """
 
 
-class ExecutionSpaceError(ReproError, RuntimeError):
-    """Raised for misuse of the :mod:`repro.kokkos` execution-space layer."""
-
-
 class ServiceError(ReproError, RuntimeError):
     """Raised for lifecycle misuse of the :mod:`repro.service` engine.
 
@@ -81,3 +77,21 @@ class NodeOverloadedError(NodeUnavailableError):
                  retry_after: float | None = None) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class NodeHTTPError(ClusterError):
+    """A server answered with a non-retryable error — the request is bad.
+
+    ``code`` is the HTTP status, ``error_code`` the envelope's
+    machine-readable name (``unknown_job``, ``bad_request``, ... or
+    ``None`` from a legacy server).  Retryable errors raise
+    :class:`NodeUnavailableError` / :class:`NodeOverloadedError` instead.
+    """
+
+    retryable = False
+
+    def __init__(self, code: int, message: str, *,
+                 error_code: str | None = None) -> None:
+        super().__init__(message)
+        self.code = code
+        self.error_code = error_code

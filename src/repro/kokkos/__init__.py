@@ -18,9 +18,10 @@ reproduced as follows:
   Device constants are calibrated against the paper's published rates; see
   ``EXPERIMENTS.md``.
 
-The package also provides semantic ``parallel_for/reduce/scan`` patterns and
-a ``View`` memory-space abstraction mirroring the Kokkos API so that the
-algorithm drivers in :mod:`repro.core` read like the paper's Figure 3.
+The algorithm code in :mod:`repro.core` is plain NumPy: each Borůvka
+round follows the paper's Figure 3 (labels, bounds, outgoing edges,
+merge) without a Kokkos-style ``parallel_for``/``View`` layer, and
+records its work directly into :class:`CostCounters`.
 """
 
 from repro.kokkos.counters import CostCounters, WarpTrace
@@ -33,15 +34,6 @@ from repro.kokkos.devices import (
     device_registry,
 )
 from repro.kokkos.costmodel import CostBreakdown, simulate_seconds
-from repro.kokkos.spaces import (
-    ExecutionSpace,
-    GPUSim,
-    OpenMPSim,
-    Serial,
-    default_space,
-)
-from repro.kokkos.patterns import parallel_for, parallel_reduce, parallel_scan
-from repro.kokkos.views import View, create_mirror_view, deep_copy
 
 __all__ = [
     "CostCounters",
@@ -54,15 +46,4 @@ __all__ = [
     "device_registry",
     "CostBreakdown",
     "simulate_seconds",
-    "ExecutionSpace",
-    "Serial",
-    "OpenMPSim",
-    "GPUSim",
-    "default_space",
-    "parallel_for",
-    "parallel_reduce",
-    "parallel_scan",
-    "View",
-    "create_mirror_view",
-    "deep_copy",
 ]

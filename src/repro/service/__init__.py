@@ -11,9 +11,6 @@ stays warm; and a stdlib JSON-over-HTTP API exposes the whole thing
 Layers
 ------
 ``repro.service.jobs``       job specs, statuses and serializable results
-``repro.service.cache``      content-addressed cache tiers (re-exported
-                             from :mod:`repro.store`, which adds the
-                             persistent disk level and warm restart)
 ``repro.service.scheduler``  size/deadline-triggered batching over workers
                              (thread or process execution backend)
 ``repro.service.executor``   the pure, picklable per-job execution path
@@ -34,7 +31,7 @@ Example
 (499, 2)
 """
 
-from repro.service.cache import (
+from repro.store import (
     ContentCache,
     TieredCache,
     estimate_nbytes,

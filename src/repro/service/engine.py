@@ -50,7 +50,13 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from repro.errors import InvalidInputError, ReproError, ServiceError
+from repro.client import Client
+from repro.errors import (
+    InvalidInputError,
+    NodeHTTPError,
+    ReproError,
+    ServiceError,
+)
 from repro.kokkos.counters import CostCounters
 from repro.metrics import mfeatures_per_second
 from repro.obs import (
@@ -195,7 +201,7 @@ class Engine:
         #: (read-through against their ``/v1/artifacts`` surface, in the
         #: configured order).  Empty = the pre-replication behavior.
         self.peers: List[str] = [u.rstrip("/") for u in (peers or ())]
-        self._peer_clients: List[Any] = []
+        self._peer_clients: List[Client] = []
         self._peer_fetch_c = self.registry.counter(
             "repro_peer_fetch_total",
             "Peer artifact fetch attempts by tier and outcome "
@@ -534,19 +540,12 @@ class Engine:
         only known once every sibling has bound its port (dynamic-port
         tests, orchestrators) wires the mesh here.
         """
-        # Function-level import: cluster imports service (the router
-        # speaks JobSpec), so the reverse edge must not exist at
-        # module load.
-        from repro.cluster.client import NodeClient
-        from repro.cluster.topology import Node
-
         self.peers = [url.rstrip("/") for url in peers]
         if hasattr(self, "_config"):  # absent during __init__'s own call
             self._config["peers"] = list(self.peers)
         self._peer_clients = [
-            NodeClient(Node(url),
-                       timeout=timeout if timeout is not None
-                       else self._peer_timeout, retries=0)
+            Client(url, timeout=timeout if timeout is not None
+                   else self._peer_timeout, retries=0)
             for url in self.peers]
         hook = self._fetch_from_peers if self._peer_clients else None
         for cache in (self.tree_cache, self.result_cache,
@@ -561,7 +560,6 @@ class Engine:
         continues — a dead replica must degrade to recompute, never fail
         the job.
         """
-        from repro.cluster.client import NodeHTTPError
         for client in self._peer_clients:
             try:
                 data = client.artifact(tier, key)

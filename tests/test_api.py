@@ -9,6 +9,10 @@ beyond the worker pool size.
 
 import asyncio
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -16,15 +20,16 @@ import urllib.request
 
 import pytest
 
+import repro.client
 from repro.api import aioclient
 from repro.api.contract import parse_error_envelope
 from repro.client import Client
 from repro.cluster import (
     ClusterRouter,
     Node,
-    NodeClient,
     NodeHTTPError,
     NodeOverloadedError,
+    NodeUnavailableError,
     create_router_server,
 )
 from repro.service import Engine, JobSpec, canonical_payload_bytes
@@ -286,12 +291,18 @@ def test_long_polls_beyond_worker_pool(bounded_api):
 
 def test_node_client_typed_errors(bounded_api):
     base, _engine = bounded_api
-    client = NodeClient(Node(base))
-    with pytest.raises(NodeHTTPError) as excinfo:
-        client.job("job-999999")
-    assert excinfo.value.code == 404
-    assert excinfo.value.error_code == "unknown_job"
-    assert excinfo.value.retryable is False
+    client = Client(base)
+    known = client.submit({"dataset": "Uniform100M2:50"})["job_id"]
+    # Ids are escaped into one path segment: a space cannot break the
+    # request line, and a "?" or "/" cannot turn an unknown id into a
+    # lookup of a known job.
+    for job_id in ("job-999999", "job 1", "x?wait_s=3",
+                   f"{known}?wait_s=3", f"{known}/x"):
+        with pytest.raises(NodeHTTPError) as excinfo:
+            client.poll(job_id)
+        assert excinfo.value.code == 404, job_id
+        assert excinfo.value.error_code == "unknown_job", job_id
+        assert excinfo.value.retryable is False
     with pytest.raises(NodeHTTPError) as excinfo:
         client.submit({"dataset": "Uniform100M2:50", "algorithm": "kmeans"})
     assert excinfo.value.code == 400
@@ -300,7 +311,7 @@ def test_node_client_typed_errors(bounded_api):
 
 def test_node_client_overload_is_typed_and_retry_hinted(bounded_api):
     base, _engine = bounded_api
-    client = NodeClient(Node(base))
+    client = Client(base)
     for seed in (20, 21):
         client.submit(_slow_spec(20000, seed))
     with pytest.raises(NodeOverloadedError) as excinfo:
@@ -383,7 +394,7 @@ def test_legacy_error_shape_still_parses():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = "http://{}:{}".format(*server.server_address[:2])
     try:
-        client = NodeClient(Node(base), retries=0)
+        client = Client(base, retries=0)
         with pytest.raises(NodeHTTPError) as excinfo:
             client.healthz()
         assert excinfo.value.code == 400
@@ -392,6 +403,111 @@ def test_legacy_error_shape_still_parses():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _RawServer:
+    """A raw-socket HTTP server answering every request with ``head``
+    and ``body`` as given, then hanging up; records each request path.
+
+    The default promises a 100-byte JSON body and sends 5 bytes — a
+    node dying mid-response.
+    """
+
+    def __init__(self, head=b"Content-Length: 100", body=b'{"sta'):
+        self.head, self.body = head, body
+        self.paths = []
+        self._stop = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.1)
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    request += chunk
+                self.paths.append(request.split(b" ")[1].decode())
+                conn.sendall(b"HTTP/1.1 200 OK\r\n"
+                             b"Content-Type: application/json\r\n"
+                             + self.head + b"\r\n\r\n" + self.body)
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(5.0)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def truncating_server():
+    server = _RawServer()
+    try:
+        yield server
+    finally:
+        server.close()
+
+
+def test_truncated_body_retries_then_raises_unavailable(truncating_server):
+    client = Client(truncating_server.url, timeout=5.0, retries=1)
+    with pytest.raises(NodeUnavailableError, match="IncompleteRead"):
+        client.healthz()
+    # An idempotent GET is retried once, then typed — never a raw
+    # http.client.IncompleteRead.
+    assert truncating_server.paths == ["/v1/healthz", "/v1/healthz"]
+
+
+def test_undecodable_text_raises_unavailable():
+    server = _RawServer(head=b"Content-Length: 2", body=b"\xff\xfe")
+    try:
+        with pytest.raises(NodeUnavailableError):
+            Client(server.url, retries=0).metrics_text()
+    finally:
+        server.close()
+
+
+def test_truncating_peer_degrades_to_recompute(truncating_server):
+    engine = Engine(max_workers=1, batch_window=0.0,
+                    peers=[truncating_server.url])
+    try:
+        done = engine.result(
+            engine.submit(JobSpec(dataset="Uniform100M2:300")), timeout=60)
+        assert done.status.value == "done", done.error
+        assert not done.cache["result_hit"]
+        assert any(path.startswith("/v1/artifacts/result/")
+                   for path in truncating_server.paths)
+        assert engine._peer_fetch_c.value(tier="result",
+                                          outcome="error") == 1
+        assert 'repro_peer_fetch_total{tier="result",outcome="error"} 1' \
+            in engine.registry.render_prometheus()
+    finally:
+        engine.close()
+
+
+def test_client_module_imports_no_cluster_or_service():
+    """One client, below both tiers that use it: importing it must not
+    load ``repro.cluster`` or ``repro.service``, and no second client
+    module may grow back under ``repro.cluster``."""
+    code = ("import importlib.util, sys\n"
+            "import repro.client\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['repro', 'cluster'], ['repro', 'service']))\n"
+            "assert not loaded, loaded\n"
+            "assert importlib.util.find_spec('repro.cluster.client') "
+            "is None\n")
+    src = os.path.dirname(os.path.dirname(repro.client.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_two_xx_bodies_carry_no_envelope(bounded_api):

@@ -26,9 +26,9 @@ from repro.service import (
     hdbscan_result_from_dict,
     hdbscan_result_to_dict,
 )
-from repro.service.cache import estimate_nbytes, fingerprint_array
 from repro.service.executor import bvh_from_state, bvh_to_state, make_exec_spec
 from repro.service.scheduler import BatchScheduler
+from repro.store import estimate_nbytes, fingerprint_array
 
 
 @pytest.fixture(params=BACKENDS)

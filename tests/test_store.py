@@ -59,14 +59,6 @@ class TestFingerprint:
                                    "algorithm=emst") == self.PINNED_COMBINED
         assert fingerprint(np.zeros((2, 2)), "core;k_pts=2") == self.PINNED_FP
 
-    def test_service_cache_reexports_the_same_scheme(self):
-        # The former copy in repro.service.cache must BE the store's
-        # functions, not a lookalike — one scheme, one key space.
-        from repro.service import cache as service_cache
-        assert service_cache.fingerprint_array is fingerprint_array
-        assert service_cache.combine_fingerprint is combine_fingerprint
-        assert service_cache.fingerprint is fingerprint
-
     def test_shape_and_dtype_feed_the_digest(self):
         a = np.arange(6, dtype=np.float64)
         assert fingerprint_array(a) != fingerprint_array(a.reshape(3, 2))
