@@ -17,14 +17,25 @@ total).  Node ids: internal nodes are ``0 .. m-2`` with the root at 0;
 leaf block ``j`` is node ``m - 1 + j``.
 
 Traversals (:mod:`repro.bvh.traversal`) are *batched*: every query is a
-SIMT lane with its own traversal stack, executed in vectorized
-iterations — the NumPy realization of the paper's one-thread-per-query
-GPU kernels, instrumented for the cost model.  Two engines implement
-them: the production multi-pop ``wavefront`` engine
-(:mod:`repro.bvh.wavefront` — plan-seeded self-queries,
-distance-carrying stacks, reusable :class:`TraversalWorkspace` arenas)
-and the single-pop ``reference`` baseline (:mod:`repro.bvh.reference`),
-byte-identical in every answer.
+SIMT lane with its own traversal stack — the paper's one-thread-per-query
+GPU kernels, instrumented for the cost model.  Three engines implement
+them, byte-identical in every answer:
+
+* ``compiled`` (:mod:`repro.bvh.compiled`, the default) — one C loop per
+  lane over a ``(node, bound)`` stack, compiled with the system C
+  compiler on the first traversal, cached under ``~/.cache/repro`` and
+  called through ``ctypes``.  It runs ``batched_nearest`` and
+  ``batched_knn``.  Its counters: ``nodes_visited`` / ``lane_steps`` are
+  pops, ``stack_ops`` pops plus pushes, ``distance_evals`` admissible
+  point candidates, and ``warp_steps`` charges each 32-lane warp its
+  slowest lane's pop count;
+* ``wavefront`` (:mod:`repro.bvh.wavefront`) — multi-pop NumPy frontier
+  drains with plan-seeded self-queries, distance-carrying stacks and
+  reusable :class:`TraversalWorkspace` arenas.  It is the fallback: with
+  no compiler, or a library that fails to build or load, one warning is
+  logged and ``compiled`` calls run here;
+* ``reference`` (:mod:`repro.bvh.reference`) — the single-pop NumPy
+  baseline the property tests compare against.
 """
 
 from repro.bvh.build import karras_hierarchy, karras_hierarchy_scalar

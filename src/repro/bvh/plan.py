@@ -20,7 +20,9 @@ instead of popping through the top levels of the tree ``n`` lanes wide.
 
 Plans are cached on the :class:`~repro.bvh.workspace.TraversalWorkspace`
 keyed by the tree's identity token, so one plan serves all rounds of an
-EMST run and the core-distance pass over the same tree.
+EMST run and the core-distance pass over the same tree.  Only the
+``wavefront`` engine uses them; the default ``compiled`` engine descends
+from the root and builds none.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """Shared machinery of the batched traversal kernels.
 
-Both traversal engines — the production :mod:`repro.bvh.wavefront`
-multi-pop kernels and the single-pop :mod:`repro.bvh.reference` kernels the
-tests compare against — share their result types, the tie-break key
-encoding, argument validation, and the vectorized building blocks for
+All three traversal engines — the :mod:`repro.bvh.compiled` C kernels,
+the :mod:`repro.bvh.wavefront` multi-pop kernels and the single-pop
+:mod:`repro.bvh.reference` kernels the tests compare against — share
+their result types, the tie-break key encoding and argument validation.
+The NumPy engines also share the vectorized building blocks for
 blocked-leaf evaluation (block expansion, per-lane segmented reductions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,34 +79,90 @@ def validate_query_points(bvh: BVH, query_points: np.ndarray) -> np.ndarray:
     return query_points
 
 
-def resolve_point_labels(
-    bvh: BVH,
-    query_labels: Optional[np.ndarray],
-    node_labels: Optional[np.ndarray],
-    point_labels: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Per-sorted-position labels backing the component constraint.
+class Constraints(NamedTuple):
+    """The optional per-lane, per-point and per-node arrays of a query.
+
+    Produced by :func:`validate_constraints`: each present array has its
+    checked shape, a C-contiguous ``int64``/``float64`` dtype, and
+    ``point_labels`` is resolved (see :func:`validate_constraints`).
+    """
+
+    query_labels: Optional[np.ndarray] = None
+    node_labels: Optional[np.ndarray] = None
+    point_labels: Optional[np.ndarray] = None
+    init_radius_sq: Optional[np.ndarray] = None
+    query_ids: Optional[np.ndarray] = None
+    point_ids: Optional[np.ndarray] = None
+    query_core_sq: Optional[np.ndarray] = None
+    point_core_sq: Optional[np.ndarray] = None
+    exclude_position: Optional[np.ndarray] = None
+
+
+#: ``name -> (length axis, is integer)`` of every :class:`Constraints` field.
+_CONSTRAINT_SPECS = {
+    "query_labels": ("batch", True),
+    "node_labels": ("nodes", True),
+    "point_labels": ("points", True),
+    "init_radius_sq": ("batch", False),
+    "query_ids": ("batch", True),
+    "point_ids": ("points", True),
+    "query_core_sq": ("batch", False),
+    "point_core_sq": ("points", False),
+    "exclude_position": ("batch", True),
+}
+
+#: Arrays that are meaningless without their partner.
+_REQUIRES = (("query_labels", "node_labels"),
+             ("query_core_sq", "point_core_sq"),
+             ("query_ids", "point_ids"))
+
+
+def validate_constraints(bvh: BVH, batch: int,
+                         **arrays: Optional[np.ndarray]) -> Constraints:
+    """Check and coerce a query's optional arrays before any kernel runs.
+
+    Per-lane arrays must have shape ``(batch,)``, per-point arrays
+    ``(n,)`` and ``node_labels`` ``(n_nodes,)``; labels, ids and
+    exclusions must be integers and radii and core distances real
+    numbers.  Anything else raises :class:`InvalidInputError` here, not an
+    ``IndexError`` from inside a kernel (or an out-of-bounds read in the
+    compiled one).
 
     With one-point leaves the leaf slice of ``node_labels`` *is* the
-    per-point labels, so callers may omit ``point_labels`` (the historical
+    per-point labels, so ``point_labels`` may be omitted (the historical
     signature).  Blocked trees lose that identity — a mixed block's leaf
     label is :data:`INVALID_LABEL` — so ``point_labels`` becomes mandatory.
     """
-    if query_labels is None:
-        return None
-    if node_labels is None:
-        raise InvalidInputError("query_labels requires node_labels")
-    if point_labels is not None:
-        point_labels = np.asarray(point_labels, dtype=np.int64)
-        if point_labels.shape != (bvh.n,):
+    lengths = {"batch": batch, "points": bvh.n, "nodes": bvh.n_nodes}
+    out = {}
+    for name, value in arrays.items():
+        if value is None:
+            continue
+        axis, integer = _CONSTRAINT_SPECS[name]
+        value = np.asarray(value)
+        kinds = "iu" if integer else "iuf"
+        if value.dtype.kind not in kinds:
             raise InvalidInputError(
-                f"point_labels must have shape ({bvh.n},), "
-                f"got {point_labels.shape}")
-        return point_labels
-    if bvh.n_leaves == bvh.n:
-        return np.asarray(node_labels[bvh.leaf_base:], dtype=np.int64)
-    raise InvalidInputError(
-        "trees with blocked leaves (leaf_size > 1) require point_labels")
+                f"{name} must be {'integer' if integer else 'real'}, "
+                f"got dtype {value.dtype}")
+        if value.shape != (lengths[axis],):
+            raise InvalidInputError(
+                f"{name} must have shape ({lengths[axis]},), "
+                f"got {value.shape}")
+        out[name] = np.ascontiguousarray(
+            value, dtype=np.int64 if integer else np.float64)
+    for name, partner in _REQUIRES:
+        if name in out and partner not in out:
+            raise InvalidInputError(f"{name} requires {partner}")
+    if "query_labels" not in out:
+        out.pop("point_labels", None)
+    elif "point_labels" not in out:
+        if bvh.n_leaves != bvh.n:
+            raise InvalidInputError(
+                "trees with blocked leaves (leaf_size > 1) require "
+                "point_labels")
+        out["point_labels"] = out["node_labels"][bvh.leaf_base:]
+    return Constraints(**out)
 
 
 def expand_blocks(bvh: BVH, block_idx: np.ndarray

@@ -31,9 +31,9 @@ from repro.bvh.query import (
     leaf_candidates,
     merge_k_best,
     pair_keys,
-    resolve_point_labels,
     single_leaf_excluded,
     update_nearest_best,
+    validate_constraints,
     validate_query_points,
 )
 from repro.bvh.workspace import TraversalWorkspace
@@ -72,25 +72,25 @@ def nearest_reference(
     """Constrained nearest neighbor, one popped node per lane per step."""
     query_points = validate_query_points(bvh, query_points)
     B = query_points.shape[0]
+    (query_labels, node_labels, plabels, init_radius_sq, query_ids,
+     point_ids, query_core_sq, point_core_sq, exclude_position) = \
+        validate_constraints(
+            bvh, B, query_labels=query_labels, node_labels=node_labels,
+            point_labels=point_labels, init_radius_sq=init_radius_sq,
+            query_ids=query_ids, point_ids=point_ids,
+            query_core_sq=query_core_sq, point_core_sq=point_core_sq,
+            exclude_position=exclude_position)
     leaf_base = bvh.leaf_base
 
     best_sq = np.full(B, np.inf)
     best_pos = np.full(B, -1, dtype=np.int64)
     best_key = np.full(B, _NO_KEY, dtype=np.uint64)
     radius = (np.full(B, np.inf) if init_radius_sq is None
-              else np.asarray(init_radius_sq, dtype=np.float64).copy())
-    if radius.shape != (B,):
-        raise InvalidInputError("init_radius_sq must have one entry per query")
+              else init_radius_sq.copy())
 
     use_labels = query_labels is not None
-    plabels = resolve_point_labels(bvh, query_labels, node_labels,
-                                   point_labels)
     use_mrd = query_core_sq is not None
-    if use_mrd and point_core_sq is None:
-        raise InvalidInputError("query_core_sq requires point_core_sq")
     use_keys = query_ids is not None
-    if use_keys and point_ids is None:
-        raise InvalidInputError("query_ids requires point_ids")
 
     trace = WarpTrace()
     local = counters if counters is not None else CostCounters()
@@ -247,6 +247,8 @@ def knn_reference(
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     B = query_points.shape[0]
+    exclude_position = validate_constraints(
+        bvh, B, exclude_position=exclude_position).exclude_position
     leaf_base = bvh.leaf_base
 
     kbest = np.full((B, k), np.inf)

@@ -1,19 +1,28 @@
 """Batched BVH traversals: the public kernel API and engine dispatch.
 
-This is the NumPy realization of ArborX's bulk search: every query owns a
-traversal stack and all lanes advance together — exactly Algorithm 2 of the
-paper executed data-parallel.  Two engines implement the kernels:
+Every query lane owns a traversal stack and walks the tree on its own,
+pruning by component label and radius — Algorithm 2 of the paper run
+data-parallel, one lane per query.  Three engines implement the kernels:
 
-* ``"wavefront"`` (:mod:`repro.bvh.wavefront`, the default) — multi-pop
-  frontier drains over blocked leaves, with reusable kernel workspaces;
+* ``"compiled"`` (:mod:`repro.bvh.compiled`, the default) — one plain C
+  loop per lane over a ``(node, bound)`` stack, built with the system C
+  compiler and loaded through ``ctypes`` on the first traversal.  It runs
+  ``batched_nearest`` and ``batched_knn``; ``radius_search`` (not used by
+  EMST or HDBSCAN*) runs on ``wavefront``;
+* ``"wavefront"`` (:mod:`repro.bvh.wavefront`) — multi-pop NumPy frontier
+  drains over blocked leaves, plan-seeded self-queries and reusable
+  kernel workspaces.  It is the fallback: when no compiler is found or the
+  library fails to build or load, one warning is logged and every call
+  that would run ``compiled`` runs ``wavefront`` instead;
 * ``"reference"`` (:mod:`repro.bvh.reference`) — the original single-pop
-  lock-step loop, kept as the semantic baseline for property tests and the
-  ablation benchmark.
+  lock-step NumPy loop, kept as the semantic baseline for property tests.
 
-Both produce identical results for every query the EMST pipeline issues
-(tie-breaks minimize a total order, so candidate visit order is
-immaterial); they differ only in how many stack entries each Python
-iteration drains.  Select per call with ``engine=`` or process-wide with
+All three produce identical results for every query the EMST pipeline
+issues (tie-breaks minimize a total order, so candidate visit order is
+immaterial); they differ in speed and in how the work counters split
+(see each engine's module docstring; the compiled engine counts pops
+per lane, and ``warp_steps`` charges each 32-lane warp its slowest lane).
+Select per call with ``engine=`` or process-wide with
 :func:`set_default_engine` / the :func:`traversal_engine` context manager.
 
 The nearest-neighbor kernel supports every constraint the single-tree EMST
@@ -31,6 +40,10 @@ algorithm needs:
 * **index tie-breaking** — equal-weight candidates compare by the
   ``(min(u,v), max(u,v))`` vertex pair (Section 2), so Borůvka merges are
   provably cycle-free even with duplicate distances.
+
+Mis-shaped or mis-typed optional arrays raise
+:class:`~repro.errors.InvalidInputError` before any traversal runs
+(:func:`repro.bvh.query.validate_constraints`).
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.bvh.bvh import BVH
+from repro.bvh import compiled as _compiled
 from repro.bvh import reference as _reference
 from repro.bvh import wavefront as _wavefront
 from repro.bvh.query import (  # noqa: F401 — public re-exports
@@ -54,9 +68,9 @@ from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 
 #: The engines a traversal call can dispatch to.
-ENGINES = ("wavefront", "reference")
+ENGINES = ("compiled", "wavefront", "reference")
 
-_default_engine = "wavefront"
+_default_engine = "compiled"
 
 
 def set_default_engine(engine: str) -> str:
@@ -71,8 +85,12 @@ def set_default_engine(engine: str) -> str:
 
 
 def get_default_engine() -> str:
-    """The engine used when a call passes ``engine=None``."""
-    return _default_engine
+    """The engine a call with ``engine=None`` runs.
+
+    ``"compiled"`` resolves to ``"wavefront"`` when its library cannot be
+    built or loaded; asking loads it.
+    """
+    return _resolve(None)
 
 
 @contextmanager
@@ -85,12 +103,19 @@ def traversal_engine(engine: str):
         set_default_engine(previous)
 
 
-def _resolve(engine: Optional[str]) -> str:
+def _engine_name(engine: Optional[str]) -> str:
     if engine is None:
         return _default_engine
     if engine not in ENGINES:
         raise InvalidInputError(
             f"unknown traversal engine {engine!r}; use one of {ENGINES}")
+    return engine
+
+
+def _resolve(engine: Optional[str]) -> str:
+    engine = _engine_name(engine)
+    if engine == "compiled" and not _compiled.available():
+        return "wavefront"
     return engine
 
 
@@ -109,7 +134,6 @@ def batched_nearest(
     exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
     engine: Optional[str] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
     self_queries: bool = False,
 ) -> NearestResult:
@@ -138,11 +162,13 @@ def batched_nearest(
         queries drawn from the indexed set, without the label machinery).
     counters:
         Work accounting (node visits, distance evals, warp steps).
-    engine / width / workspace:
-        Kernel engine selection (``None`` = process default), the
-        multi-pop drain width cap (``None`` = the wavefront module's
-        ``DEFAULT_WIDTH``, resolved at call time), and a reusable
-        :class:`~repro.bvh.workspace.TraversalWorkspace`.
+    engine / workspace:
+        Kernel engine selection (``None`` = process default) and a
+        reusable :class:`~repro.bvh.workspace.TraversalWorkspace` (used by
+        the NumPy engines).
+    self_queries:
+        The batch is exactly ``bvh.points`` in sorted order; the
+        wavefront engine then seeds each lane from the tree's query plan.
 
     Returns positions in *sorted* order; ``position == -1`` where no
     admissible neighbor exists within the initial radius.
@@ -152,13 +178,18 @@ def batched_nearest(
         point_labels=point_labels, init_radius_sq=init_radius_sq,
         query_ids=query_ids, point_ids=point_ids,
         query_core_sq=query_core_sq, point_core_sq=point_core_sq,
-        exclude_position=exclude_position, counters=counters,
-        workspace=workspace)
-    if _resolve(engine) == "wavefront":
-        return _wavefront.nearest_wavefront(bvh, query_points, width=width,
+        exclude_position=exclude_position, counters=counters)
+    resolved = _resolve(engine)
+    if resolved == "compiled":
+        return _compiled.nearest(bvh, query_points,
+                                 self_queries=self_queries, **kwargs)
+    if resolved == "wavefront":
+        return _wavefront.nearest_wavefront(bvh, query_points,
+                                            workspace=workspace,
                                             self_queries=self_queries,
                                             **kwargs)
-    return _reference.nearest_reference(bvh, query_points, **kwargs)
+    return _reference.nearest_reference(bvh, query_points,
+                                        workspace=workspace, **kwargs)
 
 
 def batched_knn(
@@ -169,7 +200,6 @@ def batched_knn(
     exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
     engine: Optional[str] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
     self_queries: bool = False,
 ) -> KnnResult:
@@ -179,10 +209,15 @@ def batched_knn(
     the indexed set should therefore *not* exclude self and the ``k``-th
     column includes the zero self-distance.
     """
-    if _resolve(engine) == "wavefront":
+    resolved = _resolve(engine)
+    if resolved == "compiled":
+        return _compiled.knn(bvh, query_points, k,
+                             exclude_position=exclude_position,
+                             counters=counters, self_queries=self_queries)
+    if resolved == "wavefront":
         return _wavefront.knn_wavefront(
             bvh, query_points, k, exclude_position=exclude_position,
-            counters=counters, width=width, workspace=workspace,
+            counters=counters, workspace=workspace,
             self_queries=self_queries)
     return _reference.knn_reference(
         bvh, query_points, k, exclude_position=exclude_position,
@@ -196,30 +231,29 @@ def radius_search(
     *,
     counters: Optional[CostCounters] = None,
     engine: Optional[str] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All indexed points within ``radius`` of each query (spatial query).
 
     Returns CSR-style ``(offsets, positions, query_of_pair)``: neighbors of
     query ``i`` are ``positions[offsets[i]:offsets[i+1]]`` (sorted
-    positions, unordered within a query).
+    positions, unordered within a query).  The ``compiled`` engine has no
+    radius kernel, so it runs on ``wavefront``.
     """
-    if _resolve(engine) == "wavefront":
-        return _wavefront.radius_wavefront(
-            bvh, query_points, radius, counters=counters, width=width,
+    if _engine_name(engine) == "reference":
+        return _reference.radius_reference(
+            bvh, query_points, radius, counters=counters,
             workspace=workspace)
-    return _reference.radius_reference(
+    return _wavefront.radius_wavefront(
         bvh, query_points, radius, counters=counters, workspace=workspace)
 
 
 def radius_count(bvh: BVH, query_points: np.ndarray, radius: float,
                  *, counters: Optional[CostCounters] = None,
                  engine: Optional[str] = None,
-                 width: Optional[int] = None,
                  workspace: Optional[TraversalWorkspace] = None) -> np.ndarray:
     """Number of indexed points within ``radius`` of each query."""
     offsets, _, _ = radius_search(bvh, query_points, radius,
                                   counters=counters, engine=engine,
-                                  width=width, workspace=workspace)
+                                  workspace=workspace)
     return np.diff(offsets)

@@ -49,7 +49,7 @@ Counter semantics under multi-pop (pinned by the regression tests):
 * ``lane_steps`` / ``warp_steps`` advance once per *drain* for every lane
   (warp) with a non-empty stack — a drain is what a SIMT iteration becomes.
 
-With ``width=1`` and ``leaf_size=1`` every counter except
+With ``DEFAULT_WIDTH = 1`` and ``leaf_size=1`` every counter except
 ``box_distance_evals`` matches the reference kernels exactly, and every
 result does too.
 """
@@ -69,8 +69,8 @@ from repro.bvh.query import (
     merge_k_best,
     single_leaf_excluded,
     pair_keys,
-    resolve_point_labels,
     update_nearest_best,
+    validate_constraints,
     validate_query_points,
 )
 from repro.bvh.workspace import TraversalWorkspace
@@ -78,8 +78,8 @@ from repro.errors import InvalidInputError
 from repro.geometry.distance import point_box_sq, points_sq
 from repro.kokkos.counters import CostCounters, WarpTrace
 
-#: Default cap on stack entries drained per lane per iteration.  Chosen by
-#: the ``bench_kernels`` width sweep (see README "Performance"): wide
+#: Cap on stack entries drained per lane per iteration, read at each call.
+#: Chosen by a width sweep (flat in 2D; caps <= 16 tie 64 in 3D): wide
 #: enough to collapse the Python-iteration count of the traversal tail,
 #: narrow enough that the stale-radius overvisit stays in the noise.
 DEFAULT_WIDTH = 64
@@ -282,7 +282,6 @@ def nearest_wavefront(
     point_core_sq: Optional[np.ndarray] = None,
     exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
     self_queries: bool = False,
 ) -> NearestResult:
@@ -296,32 +295,29 @@ def nearest_wavefront(
     batch every round.
     """
     query_points = validate_query_points(bvh, query_points)
-    width = DEFAULT_WIDTH if width is None else width  # resolved per call
-    if width < 1:
-        raise InvalidInputError(f"width must be >= 1, got {width}")
     B = query_points.shape[0]
     if self_queries and B != bvh.n:
         raise InvalidInputError(
             "self_queries requires one lane per indexed point")
+    (query_labels, node_labels, plabels, init_radius_sq, query_ids,
+     point_ids, query_core_sq, point_core_sq, exclude_position) = \
+        validate_constraints(
+            bvh, B, query_labels=query_labels, node_labels=node_labels,
+            point_labels=point_labels, init_radius_sq=init_radius_sq,
+            query_ids=query_ids, point_ids=point_ids,
+            query_core_sq=query_core_sq, point_core_sq=point_core_sq,
+            exclude_position=exclude_position)
     leaf_base = bvh.leaf_base
 
     best_sq = np.full(B, np.inf)
     best_pos = np.full(B, -1, dtype=np.int64)
     best_key = np.full(B, _NO_KEY, dtype=np.uint64)
     radius = (np.full(B, np.inf) if init_radius_sq is None
-              else np.asarray(init_radius_sq, dtype=np.float64).copy())
-    if radius.shape != (B,):
-        raise InvalidInputError("init_radius_sq must have one entry per query")
+              else init_radius_sq.copy())
 
     use_labels = query_labels is not None
-    plabels = resolve_point_labels(bvh, query_labels, node_labels,
-                                   point_labels)
     use_mrd = query_core_sq is not None
-    if use_mrd and point_core_sq is None:
-        raise InvalidInputError("query_core_sq requires point_core_sq")
     use_keys = query_ids is not None
-    if use_keys and point_ids is None:
-        raise InvalidInputError("query_ids requires point_ids")
 
     trace = WarpTrace()
     local = counters if counters is not None else CostCounters()
@@ -401,7 +397,7 @@ def nearest_wavefront(
             break
         trace.step_lanes(lanes)
 
-        w_eff = _effective_width(lanes.size, width)
+        w_eff = _effective_width(lanes.size, DEFAULT_WIDTH)
         lane_of, node, d_node = _drain(stack, dstack, sp, lanes, w_eff)
         total = lane_of.size
         local.nodes_visited += total
@@ -492,7 +488,6 @@ def knn_wavefront(
     *,
     exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
     self_queries: bool = False,
 ) -> KnnResult:
@@ -508,13 +503,12 @@ def knn_wavefront(
     query_points = validate_query_points(bvh, query_points)
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    width = DEFAULT_WIDTH if width is None else width  # resolved per call
-    if width < 1:
-        raise InvalidInputError(f"width must be >= 1, got {width}")
     B = query_points.shape[0]
     if self_queries and B != bvh.n:
         raise InvalidInputError(
             "self_queries requires one lane per indexed point")
+    exclude_position = validate_constraints(
+        bvh, B, exclude_position=exclude_position).exclude_position
     leaf_base = bvh.leaf_base
 
     kbest = np.full((B, k), np.inf)
@@ -568,7 +562,7 @@ def knn_wavefront(
             break
         trace.step_lanes(lanes)
 
-        w_eff = _effective_width(lanes.size, width)
+        w_eff = _effective_width(lanes.size, DEFAULT_WIDTH)
         lane_of, node, d_node = _drain(stack, dstack, sp, lanes, w_eff)
         total = lane_of.size
         local.nodes_visited += total
@@ -647,7 +641,6 @@ def radius_wavefront(
     radius: float,
     *,
     counters: Optional[CostCounters] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All indexed points within ``radius``, multi-pop frontier drains.
@@ -658,9 +651,6 @@ def radius_wavefront(
     query_points = validate_query_points(bvh, query_points)
     if radius < 0:
         raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    width = DEFAULT_WIDTH if width is None else width  # resolved per call
-    if width < 1:
-        raise InvalidInputError(f"width must be >= 1, got {width}")
     B = query_points.shape[0]
     r_sq = float(radius) * float(radius)
     leaf_base = bvh.leaf_base
@@ -699,7 +689,7 @@ def radius_wavefront(
                 break
             trace.step_lanes(lanes)
 
-            w_eff = _effective_width(lanes.size, width)
+            w_eff = _effective_width(lanes.size, DEFAULT_WIDTH)
             lane_of, node, _ = _drain(stack, None, sp, lanes, w_eff)
             total = lane_of.size
             local.nodes_visited += total

@@ -34,9 +34,9 @@ from repro.core.outgoing import find_components_outgoing_edges
 from repro.kokkos.counters import CostCounters
 
 #: Default points-per-leaf blocking factor, chosen by the
-#: ``bench_kernels`` leaf-size sweep (see README "Performance"): on the
-#: NumPy substrate, blocking defeats the component-label leaf skipping of
-#: Optimization 1 (a mixed block cannot be skipped and costs a whole
+#: ``bench_kernels`` leaf-size sweep (see README "Performance"): on every
+#: engine, the compiled one included, blocking defeats the component-label
+#: leaf skipping of Optimization 1 (a mixed block cannot be skipped and costs a whole
 #: block of exact distances), so single-point leaves win for the
 #: label-constrained EMST kernel and blocking stays an opt-in knob.
 DEFAULT_LEAF_SIZE = 1

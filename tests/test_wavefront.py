@@ -1,7 +1,8 @@
-"""Wavefront traversal engine: equivalence, counters, workspaces, plans.
+"""Traversal engines: equivalence, counters, workspaces, plans.
 
-The wavefront kernels must be *indistinguishable by answer* from the
-single-pop reference engine on every query the EMST pipeline issues —
+The compiled and wavefront kernels must be *indistinguishable by answer*
+from the single-pop reference engine on every query the EMST pipeline
+issues —
 including adversarial inputs (duplicate points, collinear sets,
 all-identical points) under every constraint combination (component
 labels x mutual-reachability x self-exclusion x initial radius).  The
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import repro.bvh.wavefront as wavefront
 from repro.bvh import (
     TraversalWorkspace,
     batched_knn,
@@ -22,6 +24,7 @@ from repro.bvh import (
     traversal_engine,
 )
 from repro.bvh.plan import build_query_plan
+from repro.bvh import compiled
 from repro.bvh.traversal import (
     ENGINES,
     get_default_engine,
@@ -57,13 +60,16 @@ def adversarial_point_sets():
         ("identical", np.zeros((33, 2))),
         ("two-clusters", np.concatenate([uniform * 0.01,
                                          uniform * 0.01 + 5.0])),
+        # Geometric spacing peels one point per level: a tree ~35 deep.
+        ("deep", np.repeat(2.0 ** -np.arange(48.0), 2).reshape(48, 2)),
     ]
 
 
 class TestEngineSelection:
-    def test_default_is_wavefront(self):
-        assert get_default_engine() == "wavefront"
-        assert set(ENGINES) == {"wavefront", "reference"}
+    def test_default_is_compiled(self):
+        want = "compiled" if compiled.available() else "wavefront"
+        assert get_default_engine() == want
+        assert set(ENGINES) == {"compiled", "wavefront", "reference"}
 
     def test_context_manager_restores(self):
         before = get_default_engine()
@@ -128,14 +134,18 @@ class TestByteIdentity:
         for engine in ENGINES:
             with traversal_engine(engine):
                 results.append(emst(pts))
-        assert np.array_equal(results[0].edges, results[1].edges)
-        assert np.array_equal(results[0].weights, results[1].weights)
+        for other in results[1:]:
+            assert np.array_equal(results[0].edges, other.edges)
+            assert np.array_equal(results[0].weights, other.weights)
 
     @pytest.mark.parametrize("name,pts", adversarial_point_sets())
     def test_constrained_nearest_all_combos(self, name, pts):
         """labels x mrd x exclude x init-radius, keyed: identical answers."""
+        for leaf_size in (1, 3):
+            self._check_all_combos(name, build_bvh(pts, leaf_size=leaf_size))
+
+    def _check_all_combos(self, name, bvh):
         rng = np.random.default_rng(11)
-        bvh = build_bvh(pts)
         n = bvh.n
         labels = rng.integers(0, 3, size=n)
         node_labels = reduce_labels(bvh, labels)
@@ -162,21 +172,32 @@ class TestByteIdentity:
             for engine in ENGINES:
                 outs.append(batched_nearest(bvh, bvh.points, engine=engine,
                                             **kwargs))
-            combo = (use_labels, use_mrd, use_excl, use_radius)
-            assert np.array_equal(outs[0].position, outs[1].position), \
-                (name, combo)
-            assert np.array_equal(outs[0].distance_sq, outs[1].distance_sq), \
-                (name, combo)
-            assert np.array_equal(outs[0].key, outs[1].key), (name, combo)
+            combo = (bvh.leaf_size, use_labels, use_mrd, use_excl,
+                     use_radius)
+            for engine, out in zip(ENGINES[1:], outs[1:]):
+                assert np.array_equal(outs[0].position, out.position), \
+                    (name, combo, engine)
+                assert np.array_equal(outs[0].distance_sq,
+                                      out.distance_sq), (name, combo, engine)
+                assert np.array_equal(outs[0].key, out.key), \
+                    (name, combo, engine)
 
     def test_knn_distances_agree(self):
         for name, pts in adversarial_point_sets():
-            bvh = build_bvh(pts)
-            for k in (1, 4):
-                a = batched_knn(bvh, bvh.points, k, engine="wavefront")
-                b = batched_knn(bvh, bvh.points, k, engine="reference")
-                assert np.array_equal(a.distance_sq, b.distance_sq), \
-                    (name, k)
+            for leaf_size in (1, 3):
+                bvh = build_bvh(pts, leaf_size=leaf_size)
+                for k in (1, 4):
+                    for excl in (None, np.arange(bvh.n)):
+                        want = batched_knn(bvh, bvh.points, k,
+                                           engine="reference",
+                                           exclude_position=excl)
+                        for engine in ENGINES:
+                            got = batched_knn(bvh, bvh.points, k,
+                                              engine=engine,
+                                              exclude_position=excl)
+                            assert np.array_equal(
+                                got.distance_sq, want.distance_sq), \
+                                (name, leaf_size, k, engine)
 
     def test_radius_sets_agree(self):
         for name, pts in adversarial_point_sets():
@@ -200,11 +221,10 @@ class TestCounterRegression:
     """Exact visit counts on a fixed 16-point grid — pinned so the
     multi-pop counter semantics cannot silently drift."""
 
-    def _count(self, bvh, engine, width=None, **kwargs):
+    def _count(self, bvh, engine, **kwargs):
         counters = CostCounters()
-        extra = {} if width is None else {"width": width}
         batched_nearest(bvh, bvh.points, engine=engine, counters=counters,
-                        exclude_position=np.arange(bvh.n), **extra, **kwargs)
+                        exclude_position=np.arange(bvh.n), **kwargs)
         return counters
 
     def test_reference_counts(self):
@@ -213,31 +233,34 @@ class TestCounterRegression:
                 c.distance_evals, c.leaf_visits, c.lane_steps,
                 c.warp_steps) == (136, 256, 376, 48, 48, 136, 10)
 
-    def test_wavefront_width1_matches_reference_pops(self):
+    def test_wavefront_width1_matches_reference_pops(self, monkeypatch):
         # Single-pop wavefront: identical traversal, remembered bounds
         # (the only divergence is box evals: root seed + 2 per survivor
         # instead of 3 recomputes per pop).
-        c = self._count(build_bvh(_grid16()), "wavefront", width=1)
+        monkeypatch.setattr(wavefront, "DEFAULT_WIDTH", 1)
+        c = self._count(build_bvh(_grid16()), "wavefront")
         assert (c.nodes_visited, c.stack_ops, c.distance_evals,
                 c.leaf_visits, c.lane_steps, c.warp_steps) \
             == (136, 256, 48, 48, 136, 10)
         assert c.box_distance_evals == 256
 
-    def test_wavefront_multi_pop_counts(self):
+    def test_wavefront_multi_pop_counts(self, monkeypatch):
         # Draining 2 entries per lane per iteration halves the lane steps
         # and overvisits nodes against the per-drain (staler) radii —
         # both effects pinned exactly.
-        c = self._count(build_bvh(_grid16()), "wavefront", width=2)
+        monkeypatch.setattr(wavefront, "DEFAULT_WIDTH", 2)
+        c = self._count(build_bvh(_grid16()), "wavefront")
         assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
                 c.distance_evals, c.leaf_visits, c.lane_steps,
                 c.warp_steps) == (184, 352, 288, 64, 64, 104, 7)
 
-    def test_wavefront_seeded_counts(self):
+    def test_wavefront_seeded_counts(self, monkeypatch):
         # Plan seeding starts each lane at its path siblings: node visits
         # drop from 136 to 88 and lane steps from 136 to 36 on the grid.
         c = CostCounters()
         bvh = build_bvh(_grid16())
-        batched_nearest(bvh, bvh.points, engine="wavefront", width=4,
+        monkeypatch.setattr(wavefront, "DEFAULT_WIDTH", 4)
+        batched_nearest(bvh, bvh.points, engine="wavefront",
                         workspace=TraversalWorkspace(),
                         exclude_position=np.arange(16), counters=c,
                         self_queries=True)
@@ -245,10 +268,28 @@ class TestCounterRegression:
                 c.leaf_visits, c.lane_steps, c.warp_steps) \
             == (88, 176, 48, 48, 36, 3)
 
-    def test_blocked_leaves_counts(self):
+    @pytest.mark.skipif(not compiled.available(),
+                        reason="no C compiler for the compiled engine")
+    def test_compiled_counts(self):
+        # The per-lane C loop is the reference's single-pop descent: the
+        # same pops, pushes and leaf work; a warp is charged its slowest
+        # lane, which is what the lock-step reference charges too.  Box
+        # bounds are remembered on the stack (root + 2 per expansion).
+        c = self._count(build_bvh(_grid16()), "compiled")
+        assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
+                c.distance_evals, c.leaf_visits, c.lane_steps,
+                c.warp_steps) == (136, 256, 256, 48, 48, 136, 10)
+        seeded = CostCounters()
+        bvh = build_bvh(_grid16())
+        batched_nearest(bvh, bvh.points, engine="compiled",
+                        exclude_position=np.arange(16), counters=seeded,
+                        self_queries=True)
+        assert seeded == c  # self-queries descend from the root
+
+    def test_blocked_leaves_counts(self, monkeypatch):
         # leaf_size=4: a quarter of the leaves, whole-block evaluation.
-        c = self._count(build_bvh(_grid16(), leaf_size=4), "wavefront",
-                        width=2)
+        monkeypatch.setattr(wavefront, "DEFAULT_WIDTH", 2)
+        c = self._count(build_bvh(_grid16(), leaf_size=4), "wavefront")
         assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
                 c.distance_evals, c.leaf_visits, c.lane_steps,
                 c.warp_steps) == (48, 80, 112, 240, 64, 32, 2)
@@ -267,10 +308,11 @@ class TestWorkspace:
         rng = np.random.default_rng(1)
         bvh = build_bvh(rng.random((300, 3)))
         ws = TraversalWorkspace()
-        batched_knn(bvh, bvh.points, 4, workspace=ws)
+        batched_knn(bvh, bvh.points, 4, workspace=ws, engine="wavefront")
         allocations = ws.allocations
         for _ in range(3):
-            batched_knn(bvh, bvh.points, 4, workspace=ws)
+            batched_knn(bvh, bvh.points, 4, workspace=ws,
+                        engine="wavefront")
         assert ws.allocations == allocations  # steady state: no reallocs
         assert ws.nbytes > 0
 
@@ -334,3 +376,69 @@ class TestQueryPlan:
         with pytest.raises(InvalidInputError):
             batched_nearest(bvh, bvh.points[:10], engine="wavefront",
                             self_queries=True)
+
+
+def _valid_constraints(bvh):
+    rng = np.random.default_rng(8)
+    labels = rng.integers(0, 3, size=bvh.n)
+    core = rng.random(bvh.n) * 0.05
+    return dict(query_labels=labels, node_labels=reduce_labels(bvh, labels),
+                point_labels=labels, init_radius_sq=np.full(bvh.n, 0.3),
+                query_ids=bvh.order, point_ids=bvh.order,
+                query_core_sq=core, point_core_sq=core,
+                exclude_position=np.arange(bvh.n))
+
+
+class TestInputValidation:
+    """Mis-shaped or mis-typed optional arrays are typed input errors on
+    every engine — never an ``IndexError`` or an out-of-bounds read."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", [
+        "query_labels", "node_labels", "point_labels", "init_radius_sq",
+        "query_ids", "point_ids", "query_core_sq", "point_core_sq",
+        "exclude_position"])
+    def test_short_array_rejected(self, engine, name):
+        bvh = build_bvh(np.random.default_rng(9).random((30, 2)))
+        kwargs = _valid_constraints(bvh)
+        kwargs[name] = kwargs[name][:-1]
+        with pytest.raises(InvalidInputError, match=name):
+            batched_nearest(bvh, bvh.points, engine=engine, **kwargs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name,bad", [
+        ("query_labels", lambda a: a.astype(np.float64)),
+        ("exclude_position", lambda a: a.astype(np.float64)),
+        ("query_core_sq", lambda a: a.astype(str)),
+        ("node_labels", lambda a: a.reshape(1, -1)),
+    ])
+    def test_wrong_dtype_or_rank_rejected(self, engine, name, bad):
+        bvh = build_bvh(np.random.default_rng(9).random((30, 2)))
+        kwargs = _valid_constraints(bvh)
+        kwargs[name] = bad(kwargs[name])
+        with pytest.raises(InvalidInputError, match=name):
+            batched_nearest(bvh, bvh.points, engine=engine, **kwargs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_knn_short_exclusion_rejected(self, engine):
+        bvh = build_bvh(np.random.default_rng(9).random((30, 2)))
+        with pytest.raises(InvalidInputError, match="exclude_position"):
+            batched_knn(bvh, bvh.points, 3, engine=engine,
+                        exclude_position=np.arange(bvh.n - 1))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_missing_partner_rejected(self, engine):
+        bvh = build_bvh(np.random.default_rng(9).random((30, 2)))
+        kwargs = _valid_constraints(bvh)
+        del kwargs["point_core_sq"]
+        with pytest.raises(InvalidInputError, match="point_core_sq"):
+            batched_nearest(bvh, bvh.points, engine=engine, **kwargs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_caller_radius_not_mutated(self, engine):
+        bvh = build_bvh(np.random.default_rng(9).random((30, 2)))
+        radius = np.full(bvh.n, 0.3)
+        batched_nearest(bvh, bvh.points, engine=engine,
+                        init_radius_sq=radius,
+                        exclude_position=np.arange(bvh.n))
+        assert np.all(radius == 0.3)
